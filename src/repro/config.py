@@ -11,7 +11,7 @@ fails before a multi-minute simulation starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from .classes import DEFAULT_CLASSES, TrafficClass, parse_classes
@@ -240,6 +240,24 @@ class NetworkConfig:
     def with_(self, **changes: Any) -> "NetworkConfig":
         """Return a copy with ``changes`` applied (frozen-dataclass update)."""
         return replace(self, **changes)
+
+    def as_dict(self) -> dict[str, Any]:
+        """``dataclasses.asdict(self)``, without its recursive deep copy.
+
+        Every field holds an immutable scalar except ``classes``, whose
+        flat :class:`TrafficClass` entries become dicts — so this shallow
+        conversion returns an equal dict (and byte-identical cache keys)
+        for a fraction of the cost.  Sweeps call it once per point.
+        """
+        out = {name: getattr(self, name) for name in _NETWORK_FIELDS}
+        out["classes"] = tuple(
+            {name: getattr(cls, name) for name in _CLASS_FIELDS} for cls in self.classes
+        )
+        return out
+
+
+_NETWORK_FIELDS = tuple(f.name for f in fields(NetworkConfig))
+_CLASS_FIELDS = tuple(f.name for f in fields(TrafficClass))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,9 @@ Candidate evaluation routes through :func:`repro.core.parallel.run_sweep`
 generation's un-archived genomes become one sweep over the extra axes
 ``genome`` × ``rate``, inheriting the content-addressed result cache
 (duplicate genomes across runs are free), self-healing retries, and
-distributed execution.  Genomes are canonical tuples of ``(field, value)``
+distributed execution.  A local multi-worker exploration holds one
+:class:`~repro.core.parallel.WorkerPool` for all its generations.
+Genomes are canonical tuples of ``(field, value)``
 pairs sorted by field name, so per-point seeds from
 :func:`repro.rng.sweep_seed` and cache keys are stable regardless of how a
 genome was produced.
@@ -58,6 +60,7 @@ replayed genomes are reported separately (``resumed`` / ``dedup_hits``).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -74,7 +77,7 @@ from ..rng import make_generator
 from ..topology import build_topology
 from . import cache as result_cache
 from .openloop import OpenLoopSimulator
-from .parallel import SweepHealth, check_journal_fingerprint, run_sweep
+from .parallel import SweepHealth, WorkerPool, check_journal_fingerprint, run_sweep
 
 __all__ = [
     "DesignSpace",
@@ -218,6 +221,7 @@ def genome_config(
 # --------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4096)
 def design_cost(cfg: NetworkConfig) -> float:
     """Silicon area proxy of a design point, in flit-buffer-equivalents.
 
@@ -233,7 +237,9 @@ def design_cost(cfg: NetworkConfig) -> float:
       at these radices, but the quadratic growth is what makes
       high-degree routers (ideal, large k rings) expensive.
 
-    Pure function of the config — no simulation, no RNG.
+    Pure function of the (frozen, hashable) config — no simulation, no
+    RNG — so it is memoized: every generation and every warm re-run asks
+    again for the designs it has already costed.
     """
     topo = build_topology(cfg)
     channels = list(topo.channels())
@@ -702,7 +708,9 @@ def explore(
     (``resume_force`` overrides a fingerprint mismatch).  ``remote`` is a
     ``host:port`` sweep-service address; otherwise evaluation runs locally
     with ``n_workers`` / ``cache`` / ``point_timeout`` passed through to
-    :func:`run_sweep`.  ``log`` receives one progress line per generation.
+    :func:`run_sweep`; with ``n_workers > 1`` every generation's sweep
+    runs on one :class:`WorkerPool` that lives as long as the exploration.
+    ``log`` receives one progress line per generation.
     """
     say = log or (lambda msg: None)
     space = spec.space
@@ -850,6 +858,7 @@ def explore(
                     n_workers=n_workers,
                     cache=cache,
                     point_timeout=point_timeout,
+                    pool=pool,
                     **sweep_kwargs,
                 )
             _fold_health(result.health, records.health)
@@ -888,29 +897,36 @@ def explore(
         append_entries(new_entries)
 
     # ---- the generational loop -------------------------------------------
-    gen = make_generator(spec.seed, "explore")
-    population = init_population(gen, space, spec.population)
-    evaluate_generation(population, 0)
-    result.populations.append([genome_key(space, g) for g in population])
-    say(f"generation 0/{spec.generations}: population evaluated")
-    for g in range(1, spec.generations + 1):
-        objs = [
-            tuple(archive[genome_key(space, p)]["objectives"]) for p in population
-        ]
-        offspring = make_offspring(
-            gen, population, objs, space, spec.population,
-            crossover_rate=spec.crossover_rate,
-            mutation_rate=spec.mutation_rate,
-        )
-        evaluate_generation(offspring, g)
-        combined = list(population) + offspring
-        combined_objs = [
-            tuple(archive[genome_key(space, p)]["objectives"]) for p in combined
-        ]
-        keep = nsga2_select(combined_objs, spec.population)
-        population = [combined[i] for i in keep]
-        result.populations.append([genome_key(space, p) for p in population])
-        say(f"generation {g}/{spec.generations}: {result.summary()}")
+    # One pool serves every generation, so a local exploration forks its
+    # workers once rather than once per generation's sweep.
+    pool = WorkerPool(n_workers) if n_workers > 1 and remote is None else None
+    try:
+        gen = make_generator(spec.seed, "explore")
+        population = init_population(gen, space, spec.population)
+        evaluate_generation(population, 0)
+        result.populations.append([genome_key(space, g) for g in population])
+        say(f"generation 0/{spec.generations}: population evaluated")
+        for g in range(1, spec.generations + 1):
+            objs = [
+                tuple(archive[genome_key(space, p)]["objectives"]) for p in population
+            ]
+            offspring = make_offspring(
+                gen, population, objs, space, spec.population,
+                crossover_rate=spec.crossover_rate,
+                mutation_rate=spec.mutation_rate,
+            )
+            evaluate_generation(offspring, g)
+            combined = list(population) + offspring
+            combined_objs = [
+                tuple(archive[genome_key(space, p)]["objectives"]) for p in combined
+            ]
+            keep = nsga2_select(combined_objs, spec.population)
+            population = [combined[i] for i in keep]
+            result.populations.append([genome_key(space, p) for p in population])
+            say(f"generation {g}/{spec.generations}: {result.summary()}")
+    finally:
+        if pool is not None:
+            pool.close()
 
     # ---- the front: feasible, simulated, non-dominated, deduplicated -----
     result.archive = [archive[key] for key in order]

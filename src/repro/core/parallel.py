@@ -11,6 +11,11 @@ of sweep axes through a :class:`~concurrent.futures.ProcessPoolExecutor`:
   so a parallel run produces records bit-identical to a serial run (modulo
   the per-point ``wall_seconds`` timing field), returned in the canonical
   enumeration order regardless of completion order.
+* **Pool lifecycle.**  A :class:`WorkerPool` owns the executor and the one
+  kill/rebuild path.  ``run_sweep`` opens and closes its own pool unless
+  the caller hands it one (``pool=``), so a caller running many sweeps —
+  the explorer's generations, the steered sweep's sub-sweeps — forks its
+  workers once instead of once per sweep.
 * **Checkpoint/resume.**  With ``journal=`` set, each completed point is
   appended to a JSON-lines file as it finishes (via
   :func:`repro.analysis.io.append_jsonl`).  Re-running with ``resume=True``
@@ -66,6 +71,7 @@ __all__ = [
     "SweepProgress",
     "SweepHealth",
     "SweepRecords",
+    "WorkerPool",
     "enumerate_points",
     "run_sweep",
     "sweep_fingerprint",
@@ -375,44 +381,83 @@ def _load_journal(journal, points: Sequence[SweepPoint]) -> dict[int, dict[str, 
     return completed
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down *now*, terminating its worker processes.
+class WorkerPool:
+    """A process pool that can outlive one sweep.
 
-    ``ProcessPoolExecutor`` has no way to cancel one running task, so
-    killing a hung worker means killing them all and rebuilding — the
-    callers resubmit the innocent in-flight points, whose re-runs are
-    deterministic (per-point derived seeds), so no result changes.
+    The owner — whoever constructed it — closes it (it is a context
+    manager).  The executor starts lazily on the first :meth:`submit`, so
+    a pool whose sweeps were all answered from the cache never forks.
+    :meth:`rebuild` kills every worker at once (the only way to stop a
+    hung task) and the next submit starts a fresh executor: after a worker
+    death, a timeout, or a sweep that left with tasks in flight, the next
+    sweep on the same pool gets live workers and no stale task.
     """
-    procs = getattr(pool, "_processes", None)
-    processes = list(procs.values()) if procs else []
-    for proc in processes:
-        try:
-            proc.terminate()
-        except Exception:  # pragma: no cover - already dead
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in processes:
-        proc.join(timeout=5.0)
+
+    def __init__(self, n_workers: int) -> None:
+        if n_workers < 2:
+            raise ValueError("a WorkerPool needs n_workers >= 2")
+        self.n_workers = n_workers
+        self.closed = False
+        self._executor: Optional[ProcessPoolExecutor] = None
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+        if self.closed:
+            raise RuntimeError("WorkerPool is closed")
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=self.n_workers)
+        return self._executor.submit(fn, *args)
+
+    def rebuild(self) -> None:
+        """Kill the workers now; the next :meth:`submit` starts new ones.
+
+        ``ProcessPoolExecutor`` has no way to cancel one running task, so
+        killing a hung worker means killing them all — the callers
+        resubmit the innocent in-flight points, whose re-runs are
+        deterministic (per-point derived seeds), so no result changes.
+        """
+        executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        procs = getattr(executor, "_processes", None)
+        processes = list(procs.values()) if procs else []
+        for proc in processes:
+            try:
+                proc.terminate()
+            except Exception:  # pragma: no cover - already dead
+                pass
+        executor.shutdown(wait=False, cancel_futures=True)
+        for proc in processes:
+            proc.join(timeout=5.0)
+
+    def close(self) -> None:
+        self.rebuild()
+        self.closed = True
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
 
 
 def _run_pool(
     pending: Sequence[SweepPoint],
     runner: Callable[..., Mapping[str, Any]],
     base: NetworkConfig,
-    n_workers: int,
+    pool: WorkerPool,
     point_timeout: float | None,
     emit: Callable[[SweepPoint, dict[str, Any]], None],
     health: SweepHealth,
     policy: RetryPolicy,
     pending_attempts: Optional[Sequence[int]] = None,
 ) -> None:
-    """Execute ``pending`` on a process pool, emitting records as they land.
+    """Execute ``pending`` on ``pool``, emitting records as they land.
 
     Submissions are windowed so huge sweeps don't pin every argument tuple
     in memory at once.  With ``point_timeout`` set the window shrinks to
-    exactly ``n_workers`` outstanding futures, so every in-flight future is
-    actually *executing* — timing a future from submission would otherwise
-    falsely expire points merely queued behind a slow sibling.
+    exactly ``pool.n_workers`` outstanding futures, so every in-flight
+    future is actually *executing* — timing a future from submission would
+    otherwise falsely expire points merely queued behind a slow sibling.
 
     Self-healing behavior:
 
@@ -426,6 +471,10 @@ def _run_pool(
       is deterministic;
     * a record with a transient ``error_kind`` (``"stalled"``) → retried
       with backoff up to ``max_retries`` times.
+
+    Leaving early — an exception from ``emit`` or a KeyboardInterrupt —
+    rebuilds the pool, so no task of this call can land in the pool's next
+    sweep.  A normal return leaves nothing in flight and the workers warm.
     """
     # Queue entries are (point, attempt); ``delayed`` holds backoff retries
     # as (ready_monotonic, point, attempt).  ``pending_attempts`` lets the
@@ -434,8 +483,7 @@ def _run_pool(
     queue: deque[tuple[SweepPoint, int]] = deque(zip(pending, attempts))
     delayed: list[tuple[float, SweepPoint, int]] = []
     inflight: dict[Future, tuple[SweepPoint, int, float]] = {}
-    window = n_workers if point_timeout is not None else 2 * n_workers
-    pool = ProcessPoolExecutor(max_workers=n_workers)
+    window = pool.n_workers if point_timeout is not None else 2 * pool.n_workers
 
     def retry_or_fail(
         point: SweepPoint, attempt: int, record: dict[str, Any], *, now: float
@@ -449,11 +497,9 @@ def _run_pool(
 
     def rebuild_pool(reason_points: list[tuple[SweepPoint, int]]) -> None:
         """Kill the pool, requeue ``reason_points`` at their attempts, rebuild."""
-        nonlocal pool
-        _kill_pool(pool)
+        pool.rebuild()
         inflight.clear()
         queue.extendleft(reversed(reason_points))
-        pool = ProcessPoolExecutor(max_workers=n_workers)
 
     try:
         while queue or inflight or delayed:
@@ -546,8 +592,9 @@ def _run_pool(
                         (point, attempt) for point, attempt, _ in inflight.values()
                     ]
                     rebuild_pool(innocents)
-    finally:
-        _kill_pool(pool)
+    except BaseException:
+        pool.rebuild()
+        raise
 
 
 def run_sweep(
@@ -567,6 +614,7 @@ def run_sweep(
     retry_backoff: float = 0.25,
     seed_jitter: bool = False,
     cache=None,
+    pool: WorkerPool | None = None,
 ) -> SweepRecords:
     """Run ``runner`` over every sweep point; collect records in canonical order.
 
@@ -600,7 +648,14 @@ def run_sweep(
     seed (via :func:`repro.rng.spawn`) instead of the process-global
     :mod:`random`, making self-healing retry timelines deterministic; the
     default keeps the historical unseeded jitter.
+
+    ``pool`` is a caller-owned :class:`WorkerPool` to run the points on
+    (``n_workers`` is then the pool's size); it stays open afterwards, so
+    a caller running many sweeps forks its workers once.  Without it, a
+    call with ``n_workers > 1`` opens its own pool and closes it on return.
     """
+    if pool is not None:
+        n_workers = pool.n_workers
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
     if max_retries < 0:
@@ -665,7 +720,7 @@ def run_sweep(
         dotted, runner_kwargs = result_cache.provenance(spec)
         misses: list[SweepPoint] = []
         for point in pending:
-            cfg_dict = asdict(base.with_(**{**point.overrides, "seed": point.seed}))
+            cfg_dict = base.with_(**{**point.overrides, "seed": point.seed}).as_dict()
             key = result_cache.point_key(cfg_dict, point.kwargs, spec, salt=salt)
             hit = store.get(key)
             if hit is not None:
@@ -755,17 +810,11 @@ def run_sweep(
                     time.sleep(policy.delay(attempt))
                     record = _execute_point(runner, base, point)
                 emit(point, record)
+        elif pool is not None:
+            _run_pool(pending, runner, base, pool, point_timeout, emit, health, policy)
         else:
-            _run_pool(
-                pending,
-                runner,
-                base,
-                n_workers,
-                point_timeout,
-                emit,
-                health,
-                policy,
-            )
+            with WorkerPool(n_workers) as own:
+                _run_pool(pending, runner, base, own, point_timeout, emit, health, policy)
     except KeyboardInterrupt:
         # Flush the health summary so the journal tells the whole story;
         # per-point records are already flushed as they land, which is what

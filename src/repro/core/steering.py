@@ -47,6 +47,7 @@ from ..config import NetworkConfig
 from .parallel import (
     SweepHealth,
     SweepRecords,
+    WorkerPool,
     _jsonable,
     run_sweep,
     sweep_fingerprint,
@@ -178,62 +179,70 @@ def steered_sweep(
     health = SweepHealth()
     plans: list[SteeringPlan] = []
     records: list[dict[str, Any]] = []
-    for combo in itertools.product(*(axes[name] for name in names)):
-        overrides = dict(zip(names, combo))
-        cfg = base.with_(**overrides)
-        model = AnalyticalModel(cfg, capacity_factor=capacity_factor)
-        curve = model.curve(rates)
-        latencies = tuple(est.avg_latency for est in curve)
-        knee = find_knee(rates, latencies, tolerance=knee_tolerance)
-        simulated = _window(knee, len(rates), budget)
-        plan = SteeringPlan(
-            overrides=overrides,
-            rates=rates,
-            model_latency=latencies,
-            saturation_rate=model.saturation_rate,
-            knee_index=knee,
-            simulated_indices=simulated,
-        )
-        plans.append(plan)
-        # The sub-sweep pins this combination's coordinates as single-value
-        # axes, so every point's derived seed and cache key are identical
-        # to the dense sweep's — that is the bit-identity guarantee.
-        sub = run_sweep(
-            base,
-            {name: (value,) for name, value in overrides.items()},
-            runner,
-            extra_axes={rate_axis: tuple(rates[i] for i in simulated)},
-            n_workers=n_workers,
-            progress=progress,
-            point_timeout=point_timeout,
-            max_retries=max_retries,
-            cache=cache,
-        )
-        for field in (
-            "ok",
-            "failed",
-            "retried",
-            "timed_out",
-            "stalled",
-            "worker_deaths",
-            "cache_hits",
-            "cache_misses",
-            "quarantined",
-            "stale_results",
-        ):
-            setattr(health, field, getattr(health, field) + getattr(sub.health, field))
-        by_rate = {rates[i]: rec for i, rec in zip(simulated, sub)}
-        simulated_set = set(simulated)
-        for i, rate in enumerate(rates):
-            if i in simulated_set:
-                rec = dict(by_rate[rate])
-                rec["source"] = "simulated"
-            else:
-                start = time.perf_counter()
-                rec = {**overrides, rate_axis: rate, **sweep_record(model, rate)}
-                rec["wall_seconds"] = time.perf_counter() - start
-                health.ok += 1
-            records.append(rec)
+    # Every combination's sub-sweep runs on one pool: forked once per
+    # steered sweep, not once per combination.
+    pool = WorkerPool(n_workers) if n_workers > 1 else None
+    try:
+        for combo in itertools.product(*(axes[name] for name in names)):
+            overrides = dict(zip(names, combo))
+            cfg = base.with_(**overrides)
+            model = AnalyticalModel(cfg, capacity_factor=capacity_factor)
+            curve = model.curve(rates)
+            latencies = tuple(est.avg_latency for est in curve)
+            knee = find_knee(rates, latencies, tolerance=knee_tolerance)
+            simulated = _window(knee, len(rates), budget)
+            plan = SteeringPlan(
+                overrides=overrides,
+                rates=rates,
+                model_latency=latencies,
+                saturation_rate=model.saturation_rate,
+                knee_index=knee,
+                simulated_indices=simulated,
+            )
+            plans.append(plan)
+            # The sub-sweep pins this combination's coordinates as single-value
+            # axes, so every point's derived seed and cache key are identical
+            # to the dense sweep's — that is the bit-identity guarantee.
+            sub = run_sweep(
+                base,
+                {name: (value,) for name, value in overrides.items()},
+                runner,
+                extra_axes={rate_axis: tuple(rates[i] for i in simulated)},
+                n_workers=n_workers,
+                progress=progress,
+                point_timeout=point_timeout,
+                max_retries=max_retries,
+                cache=cache,
+                pool=pool,
+            )
+            for field in (
+                "ok",
+                "failed",
+                "retried",
+                "timed_out",
+                "stalled",
+                "worker_deaths",
+                "cache_hits",
+                "cache_misses",
+                "quarantined",
+                "stale_results",
+            ):
+                setattr(health, field, getattr(health, field) + getattr(sub.health, field))
+            by_rate = {rates[i]: rec for i, rec in zip(simulated, sub)}
+            simulated_set = set(simulated)
+            for i, rate in enumerate(rates):
+                if i in simulated_set:
+                    rec = dict(by_rate[rate])
+                    rec["source"] = "simulated"
+                else:
+                    start = time.perf_counter()
+                    rec = {**overrides, rate_axis: rate, **sweep_record(model, rate)}
+                    rec["wall_seconds"] = time.perf_counter() - start
+                    health.ok += 1
+                records.append(rec)
+    finally:
+        if pool is not None:
+            pool.close()
     health.total = len(records)
     if journal is not None:
         fingerprint = sweep_fingerprint(base, axes, {rate_axis: rates})

@@ -20,8 +20,8 @@ failure model (DESIGN.md §5h) is built from four mechanisms:
   successful result clears the streak.
 * **Fallback.**  If no workers are connected for ``fallback_after``
   seconds while work is queued, the controller runs the remaining points
-  itself on the local process-pool executor
-  (:func:`repro.core.parallel._run_pool`) — a submitted sweep always
+  itself on a one-shot :class:`repro.core.parallel.WorkerPool` (through
+  :func:`repro.core.parallel._run_pool`) — a submitted sweep always
   completes, fleet or no fleet.
 
 Retries reuse :class:`repro.core.resilience.RetryPolicy` with jitter
@@ -52,6 +52,7 @@ from ..core import cache as result_cache
 from ..core.parallel import (
     SweepHealth,
     SweepPoint,
+    WorkerPool,
     _execute_point,
     _failed_record,
     _run_pool,
@@ -385,9 +386,9 @@ class Controller:
         for index, attempt in job.pending:
             point = job.points[index]
             try:
-                cfg_dict = asdict(
-                    base_cfg.with_(**{**point["overrides"], "seed": point["seed"]})
-                )
+                cfg_dict = base_cfg.with_(
+                    **{**point["overrides"], "seed": point["seed"]}
+                ).as_dict()
             except Exception:
                 # An invalid point cannot be cached; the worker will produce
                 # the same deterministic failed record a local sweep would.
@@ -662,17 +663,18 @@ class Controller:
                         record = _execute_point(runner, base, point)
                     emit(point, record)
             else:
-                _run_pool(
-                    points,
-                    runner,
-                    base,
-                    self.options.fallback_workers,
-                    None,
-                    emit,
-                    job.health,
-                    job.policy,
-                    pending_attempts=attempts,
-                )
+                with WorkerPool(self.options.fallback_workers) as pool:
+                    _run_pool(
+                        points,
+                        runner,
+                        base,
+                        pool,
+                        None,
+                        emit,
+                        job.health,
+                        job.policy,
+                        pending_attempts=attempts,
+                    )
 
     def _drain_queues(self, job: Job) -> list[tuple[int, int]]:
         """Take every pending and delayed point (backoffs included); locked."""

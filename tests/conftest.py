@@ -33,3 +33,24 @@ def ring16() -> NetworkConfig:
 def cmp_small() -> CmpConfig:
     """16-core CMP with small caches so miss behaviour shows up quickly."""
     return CmpConfig(l1_lines=64, l1_assoc=4, l2_lines_per_tile=256, l2_assoc=8)
+
+
+@pytest.fixture
+def executors_made(monkeypatch) -> list:
+    """Every ``ProcessPoolExecutor`` the sweep layer constructs, in order.
+
+    Counts forks of a whole worker set: a caller that shares one
+    :class:`~repro.core.parallel.WorkerPool` across sweeps makes one
+    executor, plus one per rebuild.
+    """
+    import repro.core.parallel as parallel
+
+    made: list = []
+
+    class CountingExecutor(parallel.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingExecutor)
+    return made

@@ -9,7 +9,8 @@ paths:
 
 * **process pool** (:func:`repro.core.parallel.run_sweep`): runners that
   SIGKILL their own worker process, or raise ``SimulationStalled``, on the
-  first attempt of randomly selected victim points;
+  first attempt of randomly selected victim points — including a worker
+  killed mid-exploration, where one pool serves every generation;
 * **service** (:mod:`repro.service`): workers that drop their connection
   mid-lease (a machine dying) or report a stalled record (a run aborted
   by the watchdog) on victim points, while a healthy sibling keeps
@@ -21,7 +22,10 @@ Every test asserts the final records equal the serial baseline modulo
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import importlib
+import json
 import os
 import pathlib
 import random
@@ -34,6 +38,9 @@ from repro.config import NetworkConfig
 from repro.core.parallel import SweepPoint, _failed_record, run_sweep
 from repro.core.resilience import SimulationStalled, StallDiagnosis
 from repro.service import Controller, ControllerServer, ServiceOptions, Worker, run_remote_sweep
+
+# The module, not the ``repro.core.explore`` function the package re-exports.
+explore_mod = importlib.import_module("repro.core.explore")
 
 BASE = NetworkConfig(k=4, n=2)
 AXES = {"router_delay": (1, 2, 3, 4)}
@@ -85,6 +92,15 @@ def stall_once_runner(cfg, load=0.0, *, logdir, victims):
     return payload_runner(cfg, load)
 
 
+def kill_once_when_armed(cfg, *, armdir, **kwargs):
+    """Explore runner that SIGKILLs its worker once, after the test arms it."""
+    armdir = pathlib.Path(armdir)
+    if (armdir / "armed").exists() and not (armdir / "killed").exists():
+        (armdir / "killed").write_text("killed")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return explore_mod.explore_runner(cfg, **kwargs)
+
+
 def serial_baseline():
     return run_sweep(BASE, AXES, payload_runner, extra_axes=EXTRA)
 
@@ -125,6 +141,42 @@ class TestPoolChaos:
         assert strip_timing(records) == strip_timing(serial_baseline())
         assert records.health.retried == len(victims) * len(EXTRA["load"])
         assert records.health.failed == 0
+
+    def test_killed_worker_mid_exploration_rebuilds_shared_pool(
+        self, tmp_path, monkeypatch, executors_made
+    ):
+        """A worker SIGKILLed in generation 1 is replaced; the front is unchanged."""
+        from tests.test_explore import BASE as EXPLORE_BASE
+        from tests.test_explore import TINY_SPEC
+
+        # Seed 2 evaluates fresh genomes in generation 1 (seed 7 does not).
+        spec = dataclasses.replace(TINY_SPEC, seed=2)
+        serial = explore_mod.explore(EXPLORE_BASE, spec)
+        bound = explore_mod._bound_runner
+        monkeypatch.setattr(
+            explore_mod,
+            "_bound_runner",
+            lambda s: functools.partial(
+                kill_once_when_armed, armdir=str(tmp_path), **bound(s).keywords
+            ),
+        )
+        killed_in: list[str] = []
+
+        def log(line):
+            if (tmp_path / "killed").exists() and not killed_in:
+                killed_in.append(line)
+            if line.startswith("generation 0/"):
+                (tmp_path / "armed").write_text("armed")
+
+        pooled = explore_mod.explore(EXPLORE_BASE, spec, n_workers=2, log=log)
+        assert killed_in and killed_in[0].startswith("generation 1/")
+        assert pooled.health.worker_deaths >= 1 and pooled.health.retried >= 1
+        assert len(executors_made) >= 2  # the shared pool was rebuilt
+        assert json.dumps(pooled.front, sort_keys=True) == json.dumps(serial.front, sort_keys=True)
+        assert json.dumps(pooled.archive, sort_keys=True) == json.dumps(
+            serial.archive, sort_keys=True
+        )
+        assert pooled.errors == 0
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,27 @@ def test_design_cost_orders_topologies():
     assert design_cost(base.with_(num_vcs=4)) > mesh
 
 
+def test_design_cost_memo_returns_pinned_values():
+    """Memoized costs equal the topology walk's, first call and repeat alike."""
+    base = NetworkConfig(k=4, n=2)
+    pinned = [
+        (base, 580.0),
+        (base.with_(topology="torus"), 788.0),
+        (base.with_(topology="ring"), 455.2),
+        (base.with_(topology="ideal"), 135.2),
+        (NetworkConfig(num_vcs=4, vc_buffer_size=8, link_delay=2), 9744.0),
+    ]
+    design_cost.cache_clear()
+    for _ in range(2):
+        for cfg, cost in pinned:
+            assert design_cost(cfg) == cost
+            # an equal config built separately hits the same entry
+            assert design_cost(NetworkConfig(**cfg.as_dict())) == cost
+    info = design_cost.cache_info()
+    assert info.misses == len(pinned)
+    assert info.hits == 3 * len(pinned)
+
+
 def test_explore_spec_validation():
     with pytest.raises(ValueError, match="population"):
         ExploreSpec(population=1)
@@ -361,6 +382,19 @@ def test_explore_surrogate_prefilter(tmp_path):
     assert surrogate_keys.isdisjoint({r["key"] for r in res.front})
     # Infeasible genomes are caught for free (no simulation spent).
     assert res.infeasible > 0 and res.errors == 0
+
+
+def test_explore_shares_one_pool_across_generations(explored, executors_made):
+    """n_workers=2 forks its workers once and reproduces the serial run exactly."""
+    _, serial = explored
+    pooled = explore(BASE, TINY_SPEC, n_workers=2)
+    assert len(executors_made) == 1
+    assert _front_text(pooled) == _front_text(serial)
+    assert json.dumps(pooled.archive, sort_keys=True) == json.dumps(
+        serial.archive, sort_keys=True
+    )
+    assert pooled.populations == serial.populations
+    assert (pooled.infeasible, pooled.errors) == (serial.infeasible, serial.errors)
 
 
 def test_explore_remote_matches_local(explored):

@@ -22,6 +22,7 @@ from repro.core.parallel import (
     SweepHealth,
     SweepProgress,
     SweepRecords,
+    WorkerPool,
     _backoff_seconds,
     enumerate_points,
     run_sweep,
@@ -121,6 +122,12 @@ def hang_and_die_runner(cfg, logdir, **kwargs):
 
 def interrupting_runner(cfg, **kwargs):
     raise KeyboardInterrupt
+
+
+def slow_runner(cfg, **kwargs):
+    """A point that is still running when a sibling's record lands."""
+    time.sleep(0.2)
+    return seeded_runner(cfg, **kwargs)
 
 
 class TestEnumeratePoints:
@@ -536,3 +543,92 @@ class TestKeyboardInterrupt:
             journal=journal, resume=True,
         )
         assert len(resumed) == 2 and resumed.health.ok == 2
+
+
+class TestWorkerPool:
+    """One caller-owned pool across many sweeps: forks once, heals, stays clean."""
+
+    def test_validation_and_close(self):
+        with pytest.raises(ValueError, match="n_workers"):
+            WorkerPool(1)
+        with WorkerPool(2) as pool:
+            assert not pool.closed
+        assert pool.closed
+        with pytest.raises(RuntimeError, match="closed"):
+            pool.submit(seeded_runner, BASE)
+
+    def test_shared_pool_forks_once_and_matches_serial(self, executors_made):
+        serial = run_sweep(BASE, GRID_AXES, seeded_runner, extra_axes=GRID_EXTRA)
+        with WorkerPool(2) as pool:
+            for _ in range(3):
+                records = run_sweep(
+                    BASE, GRID_AXES, seeded_runner, extra_axes=GRID_EXTRA, pool=pool
+                )
+                assert strip_timing(records) == strip_timing(serial)
+            assert not pool.closed  # the caller owns it, run_sweep leaves it open
+        assert len(executors_made) == 1
+
+    def test_without_pool_each_call_opens_and_closes_its_own(self, executors_made):
+        for _ in range(2):
+            run_sweep(BASE, {"router_delay": (1, 2)}, seeded_runner, n_workers=2)
+        assert len(executors_made) == 2
+
+    def test_pool_without_pending_points_never_forks(self, executors_made, tmp_path):
+        cache = tmp_path / "cache"
+        run_sweep(BASE, {"router_delay": (1, 2)}, seeded_runner, cache=cache)
+        with WorkerPool(2) as pool:
+            warm = run_sweep(
+                BASE, {"router_delay": (1, 2)}, seeded_runner, cache=cache, pool=pool
+            )
+        assert warm.health.cache_hits == 2
+        assert executors_made == []
+
+    def test_worker_death_rebuilds_the_shared_pool(self, tmp_path, executors_made):
+        """A rebuild replaces the pool's executor; the next sweep gets live workers."""
+        runner = functools.partial(hang_and_die_runner, logdir=str(tmp_path))
+        with WorkerPool(2) as pool:
+            first = run_sweep(
+                BASE, {"router_delay": (8, 1)}, runner, pool=pool, retry_backoff=0.05
+            )
+            assert first.health.worker_deaths >= 1
+            assert len(executors_made) >= 2
+            second = run_sweep(BASE, GRID_AXES, seeded_runner, extra_axes=GRID_EXTRA, pool=pool)
+        serial = run_sweep(BASE, GRID_AXES, seeded_runner, extra_axes=GRID_EXTRA)
+        assert strip_timing(second) == strip_timing(serial)
+        assert "draw" in {r["router_delay"]: r for r in first}[8]
+
+    def test_sweep_that_raises_midway_leaves_the_pool_clean(self, executors_made):
+        """An exception with points in flight rebuilds; the next call is unaffected."""
+
+        def explode(progress):
+            raise RuntimeError("consumer failed")
+
+        with WorkerPool(2) as pool:
+            with pytest.raises(RuntimeError, match="consumer failed"):
+                run_sweep(
+                    BASE, GRID_AXES, slow_runner, extra_axes=GRID_EXTRA,
+                    pool=pool, progress=explode,
+                )
+            assert len(executors_made) == 1
+            records = run_sweep(
+                BASE, GRID_AXES, seeded_runner, extra_axes=GRID_EXTRA, pool=pool
+            )
+            # The in-flight tasks of the failed call were killed with their
+            # executor: the next call ran on a fresh one.
+            assert len(executors_made) == 2
+        serial = run_sweep(BASE, GRID_AXES, seeded_runner, extra_axes=GRID_EXTRA)
+        assert strip_timing(records) == strip_timing(serial)
+        assert records.health.ok == len(serial)
+
+    def test_steered_sweep_uses_one_pool(self, executors_made):
+        from repro.core.steering import steered_sweep
+
+        rates = (0.05, 0.1, 0.15, 0.2)
+        axes = {"router_delay": (1, 2, 4)}
+        serial = steered_sweep(BASE, axes, seeded_runner, rates=rates, rate_axis="injection_rate")
+        pooled = steered_sweep(
+            BASE, axes, seeded_runner, rates=rates, rate_axis="injection_rate", n_workers=2
+        )
+        assert len(executors_made) == 1  # three sub-sweeps, one fork of the workers
+        # JSON text, so the analytical fill's NaN fields compare equal
+        assert json.dumps(strip_timing(pooled)) == json.dumps(strip_timing(serial))

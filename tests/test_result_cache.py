@@ -10,6 +10,7 @@ demonstration that a warm rerun of a representative latency-load grid is
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import pathlib
@@ -107,6 +108,31 @@ class TestFingerprints:
         assert base != point_key({"k": 4}, {"rate": 0.2}, spec, salt="s")
         assert base != point_key({"k": 4}, {"rate": 0.1}, {"runner": "m:g"}, salt="s")
 
+    #: Keys computed from ``dataclasses.asdict`` before sweeps switched to
+    #: ``NetworkConfig.as_dict``; a change here orphans every cached entry.
+    PINNED_KEYS = (
+        (
+            NetworkConfig(),
+            {"rate": 0.1},
+            "39864c31d0660e29923ec153a7680f61a171b8738be55564528520d15a00b72c",
+        ),
+        (
+            NetworkConfig(
+                topology="torus", k=4, n=2, classes="hi:priority=1:weight=4,lo",
+                arbitration="priority", seed=7,
+            ),
+            {"genome": (("num_vcs", 4),), "rate": 0.55},
+            "a97998f06651de60f25d3f73a78ac91a1f17d363c4c0eab0e79ba51009758918",
+        ),
+    )
+
+    @pytest.mark.parametrize("cfg,kwargs,key", PINNED_KEYS, ids=["default-8x8", "torus-2class"])
+    def test_point_key_bytes_pinned(self, cfg, kwargs, key):
+        spec = {"runner": "tests.test_result_cache:pinned_runner"}
+        assert cfg.as_dict() == dataclasses.asdict(cfg)
+        assert list(cfg.as_dict()) == list(dataclasses.asdict(cfg))
+        assert point_key(cfg.as_dict(), kwargs, spec, salt="pinned-salt") == key
+
 
 class TestResultCacheStore:
     def test_put_get_roundtrip_jsonable(self, tmp_path):
@@ -120,9 +146,21 @@ class TestResultCacheStore:
 
     def test_get_returns_private_copy(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
-        cache.put("k", {"nested": {"a": 1}})
-        cache.get("k")["nested"]["a"] = 99
-        assert cache.get("k")["nested"]["a"] == 1
+        cache.put("k", {"nested": {"a": 1}, "rows": [[1, 2.5], [None, True]]})
+        got = cache.get("k")
+        got["nested"]["a"] = 99
+        got["rows"][0].append("x")
+        assert cache.get("k") == {"nested": {"a": 1}, "rows": [[1, 2.5], [None, True]]}
+
+    def test_get_copy_keeps_non_finite_floats_and_types(self, tmp_path):
+        record = {"lat": float("inf"), "tp": float("nan"), "n": 3, "x": 3.0, "ok": False}
+        cache = ResultCache(tmp_path / "c")
+        cache.put("k", record)
+        # as stored by put, and as reloaded from the JSONL file
+        for store in (cache, ResultCache(tmp_path / "c")):
+            got = store.get("k")
+            assert json.dumps(got) == json.dumps(record)
+            assert [type(v) for v in got.values()] == [type(v) for v in record.values()]
 
     def test_miss_and_hit_counters(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
@@ -193,6 +231,32 @@ class TestResultCacheStore:
         assert totals["hits"] == 2
         assert totals["writes"] == 1
         assert cache.stats.hits == 0  # counters reset after the fold
+
+    def test_stats_survive_a_failed_flush(self, tmp_path, monkeypatch):
+        """A write that dies midway leaves the previous totals intact."""
+        cache = ResultCache(tmp_path / "c")
+        cache.put("k", {"v": 1})
+        cache.get("k")
+        cache.flush_stats()
+        before = (tmp_path / "c" / "stats.json").read_text()
+
+        real_write_text = pathlib.Path.write_text
+
+        def torn_write_text(path, text, *args, **kwargs):
+            real_write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("No space left on device")
+
+        cache.get("k")
+        monkeypatch.setattr(pathlib.Path, "write_text", torn_write_text)
+        with pytest.raises(OSError, match="No space"):
+            cache.flush_stats()
+        monkeypatch.undo()
+        assert (tmp_path / "c" / "stats.json").read_text() == before
+        assert cache.cumulative_stats()["hits"] == 1
+        assert sorted(p.name for p in (tmp_path / "c").iterdir()) == ["stats.json", "store.jsonl"]
+        # The unflushed hit is still counted; the next flush folds it in.
+        cache.flush_stats()
+        assert cache.cumulative_stats()["hits"] == 2
 
     def test_corrupt_stats_tolerated(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
