@@ -711,6 +711,9 @@ class InvariantChecker:
     * **Credit conservation** — for every (channel, VC): upstream credits
       + downstream buffered flits + flits in flight on the link + credits
       in flight upstream equals the configured buffer depth.
+    * **Occupancy** — each router's ``busy`` set is exactly its non-empty
+      input VCs (the only ones :meth:`Router.step` visits), and a router
+      holding flits is in the network's active set.
 
     Violations raise :class:`InvariantViolation` naming the first bad
     quantity.  The deep per-channel audit needs the real network's
@@ -769,7 +772,24 @@ class InvariantChecker:
                 f"{injected} != ejected {ejected} + buffered {buffered} + "
                 f"on-links {on_links}"
             )
+        self._check_occupancy(net, routers)
         self._check_credits(net, routers)
+
+    def _check_occupancy(self, net, routers) -> None:
+        """Routers step only their ``busy`` VCs, and only while active."""
+        active = net._active_routers
+        for router in routers:
+            occupied = {idx for idx, ivc in enumerate(router.ivcs) if ivc.fifo}
+            if router.busy != occupied:
+                raise InvariantViolation(
+                    f"cycle {net.now}: router {router.node} busy set "
+                    f"{sorted(router.busy)} != occupied input VCs {sorted(occupied)}"
+                )
+            if occupied and router.node not in active:
+                raise InvariantViolation(
+                    f"cycle {net.now}: router {router.node} buffers flits in "
+                    f"VCs {sorted(occupied)} but is not in the active set"
+                )
 
     def _check_credits(self, net, routers) -> None:
         cfg = net.config

@@ -70,6 +70,16 @@ class AddressSpace:
     def cold_line(self, offset: int) -> int:
         return _COLD_BASE + (offset % self.cold_lines)
 
+    def hot_range(self, core: int) -> range:
+        """All of ``core``'s hot lines, in offset order."""
+        first = self.hot_line(core, 0)
+        return range(first, first + self.hot_lines)
+
+    def mid_range_of_tile(self, tile: int) -> range:
+        """The mid-pool lines homed at ``tile``, in offset order."""
+        n = self.num_cores
+        return range(_MID_BASE + (tile - _MID_BASE) % n, _MID_BASE + self.mid_lines, n)
+
     def home_tile(self, line: int) -> int:
         """Home L2 tile of a line: low-order address interleaving."""
         return line % self.num_cores

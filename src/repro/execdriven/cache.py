@@ -99,6 +99,19 @@ class SetAssocCache:
             del s[next(iter(s))]
         s[line] = None
 
+    def fill_many(self, lines) -> None:
+        """:meth:`fill` each of ``lines`` in order (bulk warm-start loads)."""
+        sets = self._sets
+        num_sets = self.num_sets
+        assoc = self.assoc
+        for line in lines:
+            s = sets[line % num_sets]
+            if line in s:
+                del s[line]
+            elif len(s) >= assoc:
+                del s[next(iter(s))]
+            s[line] = None
+
     def probe(self, line: int) -> bool:
         """Lookup without side effects (no fill, no LRU update, no stats)."""
         return line in self._sets[line % self.num_sets]

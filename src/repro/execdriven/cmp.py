@@ -192,6 +192,9 @@ class CmpSystem:
             )
             for i in range(n)
         ]
+        #: cores still active, in core order; a core leaves for good once
+        #: inactive (finished cores ignore interrupts, so none comes back)
+        self._live = list(self.cores)
         self._pending = TimeBuckets()  # replies waiting on L2/DRAM service
         self._requests = 0
         self._interrupts = 0
@@ -210,12 +213,12 @@ class CmpSystem:
         workloads for the same reason.
         """
         space = self.space
-        for off in range(space.mid_lines):
-            line = space.mid_line(off)
-            self.tiles[space.home_tile(line)].fill(line)
+        # Each bank sees its own mid lines in offset order, exactly as a
+        # per-line loop over the whole pool would fill it.
+        for tile in self.tiles:
+            tile.fill_many(space.mid_range_of_tile(tile.tile_id))
         for core in self.cores:
-            for off in range(space.hot_lines):
-                core.l1.fill(space.hot_line(core.core_id, off))
+            core.l1.fill_many(space.hot_range(core.core_id))
 
     # -- traffic hooks --------------------------------------------------------
     def _count(self, src: int, dst: int, flits: int, cls: int) -> None:
@@ -271,10 +274,11 @@ class CmpSystem:
     def inject(self, engine: SimulationEngine) -> None:
         net = self.network
         now = net.now
+        live = self._live
         if now == self._next_timer:
             fired = False
             handler = self.benchmark.timer_handler
-            for core in self.cores:
+            for core in live:
                 fired |= core.interrupt(handler)
             if fired:
                 self._interrupts += 1
@@ -283,8 +287,16 @@ class CmpSystem:
         if bucket is not None:
             for home, core_id, line, cls in bucket:
                 self._send_reply(home, core_id, line, cls)
-        for core in self.cores:
+        retired = False
+        for core in live:
+            # InOrderCore.step's own no-op guard, tested here to skip the call.
+            if core._busy_until > now or core._blocked_line is not None:
+                continue
             core.step(now)
+            if core.done and not core.active:
+                retired = True
+        if retired:
+            live[:] = [core for core in live if core.active]
 
     def on_delivered(self, pkt, engine: SimulationEngine) -> None:
         net = self.network
@@ -302,7 +314,7 @@ class CmpSystem:
         return (
             not self._pending
             and self.network.is_idle()
-            and all(not c.active for c in self.cores)
+            and all(not c.active for c in self._live)
         )
 
     def next_event_cycle(self, engine: SimulationEngine) -> Optional[int]:

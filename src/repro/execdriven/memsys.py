@@ -52,9 +52,10 @@ class HomeTile:
         self.class_hits: dict[int, int] = {}
         self.class_misses: dict[int, int] = {}
 
-    def fill(self, line: int) -> None:
-        """Pre-load ``line`` into the bank (warm-start support)."""
-        self.l2.fill(line // self.interleave)
+    def fill_many(self, lines) -> None:
+        """Pre-load each of ``lines``, in order, into the bank (warm start)."""
+        interleave = self.interleave
+        self.l2.fill_many([line // interleave for line in lines])
 
     def service(self, line: int, traffic_class: int = 0) -> tuple[int, bool]:
         """Serve a request for ``line``: returns (latency, l2_hit).

@@ -183,12 +183,11 @@ class Router:
         fm = self.fault_mask
         fv = self.network._fault_version
         active_ports = []
-        # RC / VA / SA-request gathering.  Scanning all input VCs in index
-        # order visits exactly the members of ``self.busy`` ascending (the
-        # set tracks non-empty FIFOs) without the per-cycle sort/allocation.
-        for idx, ivc in enumerate(ivcs):
-            if not ivc.fifo:
-                continue
+        # RC / VA / SA-request gathering over the occupied input VCs only:
+        # ``self.busy`` holds exactly the non-empty FIFOs, and ascending
+        # index order keeps the arbiters' request order of a full scan.
+        for idx in sorted(self.busy):
+            ivc = ivcs[idx]
             head = ivc.fifo[0]
             if head[2] > now:
                 continue

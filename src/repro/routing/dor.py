@@ -86,8 +86,31 @@ class DOR(RoutingAlgorithm):
             self._cands = [
                 [RouteCandidate(port, self.all_vcs)] for port in range(ports)
             ]
+        # Meshes and the balanced dateline route a single-phase packet as a
+        # pure function of (node, dst), so those answers are memoized in
+        # ``_memo[node][dst]``; a node's row is allocated on its first
+        # route.  Strict dateline also reads the packet's source and is
+        # always computed.
+        self._memo: list | None = (
+            [None] * topology.num_nodes
+            if dateline_mode == "balanced" or not self._wrap
+            else None
+        )
 
     def route(self, node: int, packet: Packet) -> list[RouteCandidate]:
+        memo = self._memo
+        if memo is None or packet.intermediate is not None:
+            return self._compute(node, packet)
+        row = memo[node]
+        if row is None:
+            row = memo[node] = [None] * len(memo)
+        cands = row[packet.dst]
+        if cands is None:
+            cands = row[packet.dst] = self._compute(node, packet)
+        return cands
+
+    def _compute(self, node: int, packet: Packet) -> list[RouteCandidate]:
+        """The candidate list for ``packet`` at ``node``, from scratch."""
         topo: KAryNCube = self.topology  # type: ignore[assignment]
         target = packet.current_target()
         if node == target:
